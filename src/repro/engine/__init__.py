@@ -7,6 +7,7 @@
 """
 
 from .adaptivity import AdaptivityLoop
+from .arrival import ArrivalClock, LateArrivalError
 from .columnar import ColumnarContainer, VectorBatch
 from .epochs import AdaptiveRuntime
 from .metrics import EngineMetrics
@@ -20,12 +21,7 @@ from .rewiring import (
 )
 from .routing import stable_hash, target_tasks
 from .sharding import ShardFailedError, ShardRouter, ShardedRuntime
-from .runtime import (
-    LateArrivalError,
-    MemoryOverflowError,
-    RuntimeConfig,
-    TopologyRuntime,
-)
+from .runtime import MemoryOverflowError, RuntimeConfig, TopologyRuntime
 from .statistics import EpochStatistics
 from .stores import (
     STORE_BACKENDS,
@@ -42,6 +38,7 @@ from .tuples import StreamTuple, input_tuple, intern_attr
 __all__ = [
     "AdaptiveRuntime",
     "AdaptivityLoop",
+    "ArrivalClock",
     "CLASH_PROFILE",
     "ColumnarContainer",
     "Container",

@@ -56,6 +56,9 @@ class AdaptiveRuntime(RewirableRuntime):
     the loop's state under the historical attribute names.
     """
 
+    # plan switches land between inputs: no cross-input micro-batches
+    per_input_hooks = True
+
     def __init__(
         self,
         controller: AdaptiveController,

@@ -24,10 +24,9 @@ Two subsystems drive installs: the epoch-based :class:`~repro.engine.epochs.Adap
 (statistics-triggered plan switches) and the session facade
 (:class:`repro.JoinSession`), whose online ``add_query`` / ``remove_query``
 replan between pushed tuples.  Watermark mode composes with rewiring: the
-arrival-sequence counter and per-stream high waters live on the runtime and
-survive the switch, and backfilled intermediates carry the max-merged
-arrival sequence of their components, so seq-based probe visibility stays
-exact across a rewire.
+runtime's :class:`~repro.engine.arrival.ArrivalClock` survives the switch,
+and backfilled intermediates carry the max-merged arrival sequence of their
+components, so seq-based probe visibility stays exact across a rewire.
 """
 
 from __future__ import annotations
@@ -164,24 +163,9 @@ class RewirableRuntime(TopologyRuntime):
         self._check_window_growth(diff, topology, now)
         if windows:
             self.windows.update(windows)
-        # Watermark mode: an ingest stream the *old* topology did not read
-        # — brand new, or released and now re-added — has no (or a stale)
-        # high water, which would pin the global watermark at -inf (or at
-        # its pre-removal past), suspending eviction everywhere and
-        # accepting stragglers whose join partners are long evicted.  Its
-        # floor is the current watermark: no stored state below it exists,
-        # so a first/returning push must carry an event timestamp >= the
-        # watermark anyway.  Streams the old watermark already covered
-        # satisfy high >= mark + bound, so the max() is a no-op for them.
-        if self._seq_visibility:
-            mark = self.watermark()
-            if mark != float("-inf"):
-                bound = self.config.disorder_bound or 0.0
-                for relation in topology.ingest:
-                    self._stream_high[relation] = max(
-                        self._stream_high.get(relation, float("-inf")),
-                        mark + bound,
-                    )
+        # watermark mode: streams the new plan ingests start at the
+        # watermark, not at a missing or stale pre-removal high water
+        self.clock.floor(self.topology.ingest, topology.ingest)
         for store_id in diff.added:
             spec = topology.stores[store_id]
             self.tasks[store_id] = [

@@ -25,9 +25,9 @@ Hot-path design (see docs/engine.md):
   never interact — probes only target stores whose lineage is disjoint
   from the probing tuple, stores always target lineage-containing stores —
   and (b) the strict ``arrived_before`` order makes same-trigger tuples
-  invisible to each other.  Runtimes that override the per-input hooks
-  (the adaptive runtime switches plans between inputs) fall back to
-  per-tuple cascades automatically.
+  invisible to each other.  Runtimes that set ``per_input_hooks`` (the
+  adaptive runtime switches plans between inputs) fall back to per-tuple
+  cascades.
 * Predicate orientation (probe-side vs. stored-side attribute) depends
   only on the probing tuple's lineage, which is fixed per topology edge;
   it is computed once per (rule, lineage) and cached.
@@ -36,7 +36,8 @@ Hot-path design (see docs/engine.md):
 
 Out-of-order arrivals (watermark mode, logical only): setting
 ``RuntimeConfig.disorder_bound`` declares that event timestamps within each
-input stream lag its arrival order by at most that bound.  The runtime then
+input stream lag its arrival order by at most that bound.  The runtime's
+:class:`~repro.engine.arrival.ArrivalClock` then
 
 * assigns every input a wall-clock arrival sequence number and decides
   probe visibility by it (``seq_visibility`` in :func:`probe_batch`) —
@@ -48,6 +49,9 @@ input stream lag its arrival order by at most that bound.  The runtime then
   needs are retained until the watermark passes them,
 * rejects inputs that violate the declared bound (late beyond watermark)
   instead of silently dropping results.
+
+Every accepted input gets the next arrival sequence number in both modes;
+only watermark mode reads it.
 
 The brute-force reference is defined purely on event timestamps, so the
 differential harness proves both modes against the same oracle; with the
@@ -65,6 +69,7 @@ import itertools
 from dataclasses import dataclass
 from typing import (
     Any,
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -77,6 +82,7 @@ from typing import (
 )
 
 from ..core.topology import EdgeSpec, ProbeRule, Rule, StoreRule, StoreSpec, Topology
+from .arrival import ArrivalClock, LateArrivalError
 from .columnar import ColumnarContainer, VectorBatch
 from .metrics import EngineMetrics
 from .profiles import CLASH_PROFILE, EngineProfile
@@ -101,74 +107,11 @@ __all__ = [
     "RuntimeConfig",
     "TopologyRuntime",
     "MemoryOverflowError",
-    "global_watermark",
-    "validate_arrival",
 ]
 
 
 class MemoryOverflowError(RuntimeError):
     """A worker exceeded its memory budget (stored state + queued tuples)."""
-
-
-class LateArrivalError(ValueError):
-    """An input violated the arrival-order contract (see
-    :func:`validate_arrival`).
-
-    A distinct type so callers with a drop-straggler policy (the session's
-    ``on_late="drop"``) can suppress exactly this rejection without
-    swallowing unrelated ``ValueError``\\ s from the processing cascade.
-    """
-
-
-def validate_arrival(
-    trigger: str,
-    ts: float,
-    last_ts: float,
-    stream_high: Dict[str, float],
-    bound: Optional[float],
-) -> None:
-    """The arrival-order contract, shared by the runtime and the session.
-
-    Ordered mode (``bound is None``): event timestamps must be
-    non-decreasing.  Watermark mode: a tuple may lag its *own* stream's
-    high-water event timestamp by at most ``bound`` — a straggler beyond
-    that would silently lose results, so it is rejected loudly instead.
-    Raises :class:`LateArrivalError` (a ``ValueError``); callers update
-    their order state only after this passes.
-    """
-    if bound is None:
-        if ts < last_ts:
-            raise LateArrivalError("inputs must be sorted by timestamp")
-    else:
-        high = stream_high.get(trigger)
-        if high is not None and ts < high - bound:
-            raise LateArrivalError(
-                f"tuple of {trigger!r} at τ={ts:g} arrived "
-                f"{high - ts:g} behind the stream high water "
-                f"{high:g}, exceeding disorder_bound={bound:g}"
-            )
-
-
-def global_watermark(
-    ingest: Iterable[str], stream_high: Dict[str, float], bound: Optional[float]
-) -> float:
-    """Low watermark over ``ingest`` streams given per-stream high waters.
-
-    Shared by the single-process runtime and the sharded driver (which owns
-    the authoritative high waters and ships snapshots to its workers): the
-    minimum high water minus the disorder bound, or ``-inf`` while any
-    ingest stream has not produced a tuple yet.
-    """
-    mark = float("inf")
-    for relation in ingest:
-        seen = stream_high.get(relation)
-        if seen is None:
-            return float("-inf")
-        if seen < mark:
-            mark = seen
-    if mark == float("inf"):
-        return float("-inf")
-    return mark - (bound or 0.0)
 
 
 @dataclass
@@ -264,6 +207,12 @@ class RuntimeConfig:
 class TopologyRuntime:
     """Deploys a topology and pushes input streams through it."""
 
+    #: set by subclasses whose per-input hooks (``on_input_boundary``,
+    #: ``on_ingest``, ``ingest_edges``) must observe a fully processed
+    #: prefix before every input (adaptive plan switches): such runtimes
+    #: run one cascade per input instead of micro-batching
+    per_input_hooks = False
+
     def __init__(
         self,
         topology: Topology,
@@ -297,26 +246,22 @@ class TopologyRuntime:
             Tuple[ProbeRule, Tuple[Tuple[str, str], ...]],
         ] = {}
         self._uniform_window = self._compute_uniform_window()
-        #: watermark mode: seq-based probe visibility + per-stream high water
+        #: watermark mode: seq-based probe visibility
         self._seq_visibility = self.config.disorder_bound is not None
-        self._arrival_seq = 0
-        self._stream_high: Dict[str, float] = {}
+        #: the arrival-order contract (logical mode push driver)
+        self.clock = ArrivalClock(self.config.disorder_bound)
+        #: called as ``result_sink(query, result)`` after every emission
+        #: (session subscribers, shard emission logs); set after construction
+        self.result_sink: Optional[Callable[[str, StreamTuple], None]] = None
         # Push-driver state (logical mode): the pending same-relation
-        # micro-batch and the strict-order high water.  Cross-input batching
-        # requires the default per-input hooks: an overridden boundary hook
-        # (adaptive plan switches) must observe a fully processed prefix
-        # before every input.  A memory budget also disables it — the seed
-        # checked the limit after every input, and deferring cascades would
-        # overshoot the failure point by up to a whole batch.
+        # micro-batch.  A memory budget disables cross-input batching — the
+        # seed checked the limit after every input, and deferring cascades
+        # would overshoot the failure point by up to a whole batch.
         self._batchable = (
-            type(self).on_input_boundary is TopologyRuntime.on_input_boundary
-            and type(self).on_ingest is TopologyRuntime.on_ingest
-            and type(self).ingest_edges is TopologyRuntime.ingest_edges
-            and self.config.memory_limit_units is None
+            not self.per_input_hooks and self.config.memory_limit_units is None
         )
         self._group: List[StreamTuple] = []
         self._group_rel: Optional[str] = None
-        self._last_ts = float("-inf")
         self._closed = False
         self._install_stores(topology)
         self._publish_backend_choices()
@@ -467,12 +412,7 @@ class TopologyRuntime:
         self.flush()
         return {
             "kind": "single",
-            "tasks": self.dump_tasks(),
-            "arrival_seq": self._arrival_seq,
-            "stream_high": dict(self._stream_high),
-            "last_ts": self._last_ts,
-            "epoch": self._epoch,
-            "ops_since_evict": self._ops_since_evict,
+            **self.dump_position(),
             "outputs": {q: list(r) for q, r in self.outputs.items()},
             "metrics": self.metrics,
         }
@@ -491,14 +431,28 @@ class TopologyRuntime:
                 "single-process runtime"
             )
         self.metrics = state["metrics"]
-        restored = self.load_tasks(state["tasks"])
-        self._arrival_seq = int(state["arrival_seq"])
-        self._stream_high = dict(state["stream_high"])
-        self._last_ts = state["last_ts"]
-        self._epoch = int(state["epoch"])
-        self._ops_since_evict = int(state["ops_since_evict"])
+        restored = self.load_position(state)
         self.outputs = {q: list(r) for q, r in state["outputs"].items()}
         self.metrics.on_restore(restored)
+
+    def dump_position(self) -> Dict[str, Any]:
+        """Store structure plus push-driver position (clock, epoch,
+        eviction cadence): the part of a snapshot a shard worker shares."""
+        return {
+            "tasks": self.dump_tasks(),
+            "clock": self.clock.dump(),
+            "epoch": self._epoch,
+            "ops_since_evict": self._ops_since_evict,
+        }
+
+    def load_position(self, state: Dict[str, Any]) -> int:
+        """Inverse of :meth:`dump_position`; returns the reloaded live
+        stored tuple count."""
+        restored = self.load_tasks(state["tasks"])
+        self.clock.load(state["clock"])
+        self._epoch = int(state["epoch"])
+        self._ops_since_evict = int(state["ops_since_evict"])
+        return restored
 
     # ------------------------------------------------------------------
     # logical mode (push driver)
@@ -526,37 +480,17 @@ class TopologyRuntime:
         if self.metrics.failed:
             return
         ts = tup.trigger_ts
-        bound = self.config.disorder_bound
         try:
-            validate_arrival(
-                tup.trigger, ts, self._last_ts, self._stream_high, bound
-            )
+            self.clock.check(tup.trigger, ts)
         except LateArrivalError:
             if self.config.on_late == "drop":
                 # the rejection precedes any state mutation, so dropping
                 # here leaves the engine exactly as if the tuple never
                 # arrived; it is not counted in inputs_ingested
-                self.metrics.late_dropped += 1
+                self.metrics.on_late_drop()
                 return
             raise
-        if bound is None:
-            self._last_ts = ts
-        else:
-            # Watermark mode: arrival order is the push/feed order.  Assign
-            # the arrival sequence (probe visibility) and advance the
-            # per-stream high water (eviction watermark).  A nonzero seq was
-            # assigned upstream (the sharded driver sequences tuples before
-            # fanning them out to workers) and is trusted; the local counter
-            # stays monotone so mixed use keeps a total order.
-            if tup.seq:
-                if tup.seq > self._arrival_seq:
-                    self._arrival_seq = tup.seq
-            else:
-                self._arrival_seq += 1
-                tup.seq = self._arrival_seq
-            high = self._stream_high.get(tup.trigger)
-            if high is None or ts > high:
-                self._stream_high[tup.trigger] = ts
+        self.clock.advance(tup)
         if self._batchable:
             if self._group and (
                 tup.trigger != self._group_rel
@@ -785,7 +719,7 @@ class TopologyRuntime:
         # messages, which the simulation never promised (in-flight messages
         # always race event time).  batch_size=1 restores the seed's
         # per-tuple heap exactly; the same guard as logical micro-batching
-        # applies — overridden per-input hooks (adaptive epoch switches must
+        # applies — per_input_hooks runtimes (adaptive epoch switches must
         # not reorder in-flight messages across an install) or a memory
         # budget (the overflow point is defined per event) force it.
         heap: List[_TimedEvent] = []
@@ -945,6 +879,8 @@ class TopologyRuntime:
         self.metrics.on_result(query, completion_ts, result.trigger_ts)
         if self.config.collect_outputs:
             self.outputs.setdefault(query, []).append(result)
+        if self.result_sink is not None:
+            self.result_sink(query, result)
 
     # ------------------------------------------------------------------
     # housekeeping
@@ -976,9 +912,7 @@ class TopologyRuntime:
         over every ingest stream.  Streams that have not produced a tuple
         yet pin it at ``-inf`` (nothing can be evicted safely).
         """
-        return global_watermark(
-            self.topology.ingest, self._stream_high, self.config.disorder_bound
-        )
+        return self.clock.watermark(self.topology.ingest)
 
     def _check_memory(self) -> None:
         limit = self.config.memory_limit_units

@@ -30,15 +30,15 @@ makes sharding exact:
 
 Driver/worker split
 -------------------
-:class:`ShardedRuntime` is the driver.  It owns global arrival order:
-arrival validation (ordered or watermark contract, honouring
-``RuntimeConfig.on_late``), arrival-sequence assignment, and the
-authoritative per-stream high waters.  Tuples are fanned out in batches
-over ``multiprocessing`` pipes together with a high-water snapshot; workers
-max-merge the snapshot *after* processing the batch (never before — an
-early snapshot could advance the eviction watermark past a tuple still in
-the batch), so worker-local eviction horizons only ever lag the globally
-safe watermark.  On ``flush`` the driver drains every worker and merges
+:class:`ShardedRuntime` is the driver.  Its
+:class:`~repro.engine.arrival.ArrivalClock` owns global arrival order:
+validation (honouring ``RuntimeConfig.on_late``), arrival-sequence
+assignment, and the authoritative per-stream high waters.  Tuples are fanned
+out in batches over ``multiprocessing`` pipes together with a high-water
+snapshot; workers keep the driver's seqs and max-merge the snapshot *after*
+processing the batch (never before — an early snapshot could advance the
+eviction watermark past a tuple still in the batch), so worker-local
+eviction horizons only ever lag the globally safe watermark.  On ``flush`` the driver drains every worker and merges
 their emission logs deterministically, ordered by ``(result seq, shard,
 local order)``, so outputs are reproducible run over run and exactly equal
 to the single-process result sets.
@@ -89,15 +89,11 @@ from ..core.adaptive import TopologyDiff, diff_topologies
 from ..core.predicates import JoinPredicate
 from ..core.schema import Attribute
 from ..core.topology import Topology
+from .arrival import ArrivalClock, LateArrivalError
 from .metrics import EngineMetrics
 from .rewiring import RewirableRuntime, SwitchRecord, compute_backfill
 from .routing import stable_hash
-from .runtime import (
-    LateArrivalError,
-    RuntimeConfig,
-    global_watermark,
-    validate_arrival,
-)
+from .runtime import RuntimeConfig
 from .statistics import EpochStatistics
 from .tuples import StreamTuple
 
@@ -367,33 +363,6 @@ def _components(
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-class _ShardWorkerRuntime(RewirableRuntime):
-    """One shard's runtime: pre-assigned seqs, shard-0 emission attribution."""
-
-    def __init__(
-        self,
-        topology: Topology,
-        windows: Dict[str, float],
-        config: RuntimeConfig,
-        shard: int,
-        partitioned: FrozenSet[str],
-    ) -> None:
-        super().__init__(topology, windows, config)
-        self._shard = shard
-        self._partitioned: FrozenSet[str] = partitioned
-        #: (query, result) in local completion order, merged by the driver
-        self.emission_log: List[Tuple[str, StreamTuple]] = []
-
-    def _emit(self, query: str, result: StreamTuple, completion_ts: float) -> None:
-        # all-broadcast results materialize identically on every shard;
-        # shard 0 owns their emission (the cascade itself still ran here —
-        # replicated MIR stores stay complete)
-        if self._shard and not (result.lineage & self._partitioned):
-            return
-        super()._emit(query, result, completion_ts)
-        self.emission_log.append((query, result))
-
-
 class _SimulatedCrash(RuntimeError):
     """Inline-transport stand-in for a worker process dying mid-batch."""
 
@@ -422,8 +391,29 @@ class _WorkerState:
         #: so globally every accepted input is observed exactly once
         self.stats = EpochStatistics(epoch=0)
         self._crash_countdown: Optional[int] = None
-        self.runtime: _ShardWorkerRuntime
-        self._build(topology, windows, {}, {})
+        #: (query, result) in local completion order, merged by the driver;
+        #: every fresh runtime starts a fresh log
+        self.emission_log: List[Tuple[str, StreamTuple]]
+        self.runtime = self._new_runtime(topology, windows)
+
+    def _new_runtime(
+        self, topology: Topology, windows: Dict[str, float]
+    ) -> RewirableRuntime:
+        """This shard's single-process engine: it keeps the arrival seqs
+        the driver assigned and logs its emissions for the driver."""
+        runtime = RewirableRuntime(topology, windows, self.config)
+        runtime.clock.stamps = False
+        runtime.result_sink = self._log_emission
+        self.emission_log = []
+        return runtime
+
+    def _log_emission(self, query: str, result: StreamTuple) -> None:
+        # all-broadcast results materialize identically on every shard;
+        # shard 0 owns their emission (the cascade itself still ran here —
+        # replicated MIR stores stay complete)
+        if self.shard and not (result.lineage & self.router.partitioned):
+            return
+        self.emission_log.append((query, result))
 
     def _build(
         self,
@@ -432,11 +422,8 @@ class _WorkerState:
         highs: Dict[str, float],
         state: Dict[str, List[StreamTuple]],
     ) -> None:
-        self.runtime = _ShardWorkerRuntime(
-            topology, windows, self.config, self.shard, self.router.partitioned
-        )
-        runtime = self.runtime
-        runtime._stream_high.update(highs)
+        self.runtime = runtime = self._new_runtime(topology, windows)
+        runtime.clock.merge(highs)
         width = 0
         for store_id, tuples in state.items():
             spec = topology.stores[store_id]
@@ -473,15 +460,15 @@ class _WorkerState:
             # every tuple shipped later was validated against highs at least
             # this recent, so the advanced eviction watermark stays safe
             if highs:
-                self._apply_highs(highs)
+                runtime.clock.merge(highs)
             return None
         if cmd == "drain":
             _, highs = msg
             runtime = self.runtime
             runtime.flush()
             if highs:
-                self._apply_highs(highs)
-            log, runtime.emission_log = runtime.emission_log, []
+                runtime.clock.merge(highs)
+            log, self.emission_log = self.emission_log, []
             metrics = runtime.metrics
             flow = {name: getattr(metrics, name) for name in _FLOW_FIELDS}
             flow["stored_units"] = metrics.stored_units
@@ -496,7 +483,6 @@ class _WorkerState:
             # plan may introduce relations whose routing (and therefore
             # emission attribution + stats dedup) only the fresh router knows
             self.router = router
-            self.runtime._partitioned = router.partitioned
             metrics = self.runtime.metrics
             pre_preserved = metrics.preserved_tuples
             pre_backfilled = metrics.backfilled_tuples
@@ -535,12 +521,7 @@ class _WorkerState:
             return (
                 "snapshot",
                 {
-                    "tasks": runtime.dump_tasks(),
-                    "arrival_seq": runtime._arrival_seq,
-                    "stream_high": dict(runtime._stream_high),
-                    "last_ts": runtime._last_ts,
-                    "epoch": runtime._epoch,
-                    "ops_since_evict": runtime._ops_since_evict,
+                    **runtime.dump_position(),
                     "stored_units": runtime.metrics.stored_units,
                     "peak_stored_units": runtime.metrics.peak_stored_units,
                 },
@@ -549,15 +530,8 @@ class _WorkerState:
             _, topology, windows, shard_state, router = msg
             self.router = router
             self.stats = EpochStatistics(epoch=0)
-            runtime = _ShardWorkerRuntime(
-                topology, windows, self.config, self.shard, router.partitioned
-            )
-            restored = runtime.load_tasks(shard_state["tasks"])
-            runtime._arrival_seq = int(shard_state["arrival_seq"])
-            runtime._stream_high = dict(shard_state["stream_high"])
-            runtime._last_ts = shard_state["last_ts"]
-            runtime._epoch = int(shard_state["epoch"])
-            runtime._ops_since_evict = int(shard_state["ops_since_evict"])
+            runtime = self._new_runtime(topology, windows)
+            restored = runtime.load_position(shard_state)
             # restored stored state is a level, not flow (same convention
             # as _build's migration accounting); flow counters restart at
             # zero and the driver banks the checkpoint totals
@@ -574,13 +548,6 @@ class _WorkerState:
             self._crash_countdown = int(msg[1])
             return ("armed",)
         raise RuntimeError(f"unknown shard command {cmd!r}")
-
-    def _apply_highs(self, highs: Dict[str, float]) -> None:
-        stream_high = self.runtime._stream_high
-        for relation, ts in highs.items():
-            current = stream_high.get(relation)
-            if current is None or ts > current:
-                stream_high[relation] = ts
 
 
 def _shard_worker_main(
@@ -788,9 +755,11 @@ class ShardedRuntime:
         self.num_shards = self.router.num_shards
 
         self._seq_visibility = self.config.disorder_bound is not None
-        self._arrival_seq = 0
-        self._last_ts = float("-inf")
-        self._stream_high: Dict[str, float] = {}
+        #: the global arrival contract (workers only see accepted tuples)
+        self.clock = ArrivalClock(self.config.disorder_bound)
+        #: called as ``result_sink(query, result)`` after every merged
+        #: emission (session subscribers); set after construction
+        self.result_sink: Optional[Callable[[str, StreamTuple], None]] = None
         self._pending: List[List[StreamTuple]] = [
             [] for _ in range(self.num_shards)
         ]
@@ -847,24 +816,14 @@ class ShardedRuntime:
         if self.metrics.failed:
             return
         ts = tup.trigger_ts
-        bound = self.config.disorder_bound
         try:
-            validate_arrival(
-                tup.trigger, ts, self._last_ts, self._stream_high, bound
-            )
+            self.clock.check(tup.trigger, ts)
         except LateArrivalError:
             if self.config.on_late == "drop":
-                self.metrics.late_dropped += 1
+                self.metrics.on_late_drop()
                 return
             raise
-        if bound is None:
-            self._last_ts = ts
-        else:
-            high = self._stream_high.get(tup.trigger)
-            if high is None or ts > high:
-                self._stream_high[tup.trigger] = ts
-        self._arrival_seq += 1
-        tup.seq = self._arrival_seq
+        self.clock.advance(tup)
         self.metrics.on_input(ts)
         shard = self.router.shard_of(tup)
         if shard is None:
@@ -884,7 +843,7 @@ class ShardedRuntime:
         if not pending:
             return
         self._pending[idx] = []
-        snapshot = dict(self._stream_high) if self._seq_visibility else None
+        snapshot = dict(self.clock.highs) if self._seq_visibility else None
         self._send(idx, ("batch", pending, snapshot))
 
     def flush(self) -> None:
@@ -898,7 +857,7 @@ class ShardedRuntime:
             return
         for idx in range(self.num_shards):
             self._ship(idx)
-        snapshot = dict(self._stream_high) if self._seq_visibility else None
+        snapshot = dict(self.clock.highs) if self._seq_visibility else None
         replies = self._broadcast_collect(("drain", snapshot))
         merged: List[Tuple[int, int, int, str, StreamTuple]] = []
         for idx, reply in enumerate(replies):
@@ -933,14 +892,14 @@ class ShardedRuntime:
         return sum(self._stored)
 
     def watermark(self) -> float:
-        return global_watermark(
-            self.topology.ingest, self._stream_high, self.config.disorder_bound
-        )
+        return self.clock.watermark(self.topology.ingest)
 
     def _emit(self, query: str, result: StreamTuple, completion_ts: float) -> None:
         self.metrics.on_result(query, completion_ts, result.trigger_ts)
         if self.config.collect_outputs:
             self.outputs.setdefault(query, []).append(result)
+        if self.result_sink is not None:
+            self.result_sink(query, result)
 
     def _refresh_counters(self) -> None:
         metrics = self.metrics
@@ -986,18 +945,9 @@ class ShardedRuntime:
             )
         if windows:
             self.windows.update(windows)
-        # same high-water floor for returning/new ingest streams as the
-        # single-process install (the driver owns the authoritative highs;
-        # workers re-derive theirs from the drain snapshot + local install)
-        if self._seq_visibility:
-            mark = self.watermark()
-            if mark != float("-inf"):
-                bound = self.config.disorder_bound or 0.0
-                for relation in topology.ingest:
-                    self._stream_high[relation] = max(
-                        self._stream_high.get(relation, float("-inf")),
-                        mark + bound,
-                    )
+        # the driver owns the authoritative highs; workers floor theirs
+        # from the drain snapshot in their own local install
+        self.clock.floor(self.topology.ingest, topology.ingest)
         new_router = ShardRouter.from_topology(
             topology, self.config.workers, prefer_class=self.router.class_key
         )
@@ -1072,7 +1022,7 @@ class ShardedRuntime:
                 intermediates = compute_backfill(spec, streams, self.windows)
                 state[store_id] = intermediates
                 self.metrics.backfilled_tuples += len(intermediates)
-        highs = dict(self._stream_high)
+        highs = dict(self.clock.highs)
         for idx in range(self.num_shards):
             shard_state = {
                 store_id: [
@@ -1121,9 +1071,7 @@ class ShardedRuntime:
             "workers": self.num_shards,
             "router_class": self.router.class_key,
             "shards": [reply[1] for reply in replies],
-            "arrival_seq": self._arrival_seq,
-            "stream_high": dict(self._stream_high),
-            "last_ts": self._last_ts,
+            "clock": self.clock.dump(),
             "outputs": {q: list(r) for q, r in self.outputs.items()},
             "metrics": self.metrics,
             "switches": list(self.switches),
@@ -1163,9 +1111,7 @@ class ShardedRuntime:
             )
         replies = self._collect_all()
         self.router = router
-        self._arrival_seq = int(state["arrival_seq"])
-        self._stream_high = dict(state["stream_high"])
-        self._last_ts = state["last_ts"]
+        self.clock.load(state["clock"])
         self.outputs = {q: list(r) for q, r in state["outputs"].items()}
         self.metrics = state["metrics"]
         self.switches = list(state["switches"])

@@ -77,10 +77,11 @@ from .core.predicates import JoinPredicate, as_predicate
 from .core.query import Query
 from .core.topology import Topology, build_topology
 from .engine.adaptivity import AdaptivityLoop
+from .engine.arrival import ArrivalClock, LateArrivalError
 from .engine.metrics import EngineMetrics
 from .engine.reference import describe_result_diff, reference_join, result_keys
 from .engine.rewiring import RewirableRuntime, SwitchRecord
-from .engine.runtime import LateArrivalError, RuntimeConfig, validate_arrival
+from .engine.runtime import RuntimeConfig
 from .engine.sharding import ShardedRuntime
 from .engine.statistics import EpochStatistics
 from .engine.tuples import StreamTuple, input_tuple
@@ -204,39 +205,6 @@ class VerificationReport:
             status = "OK" if c.ok else f"MISMATCH ({c.diff})"
             lines.append(f"{name}: {status} ({c.expected} results)")
         return "\n".join(lines) if lines else "no queries to verify"
-
-
-class _SessionRuntime(RewirableRuntime):
-    """Rewirable runtime that fans results out to session subscribers."""
-
-    def __init__(self, topology, windows, config, listeners):
-        super().__init__(topology, windows, config)
-        self._listeners: Dict[str, List[Callable]] = listeners
-
-    def _emit(self, query: str, result: StreamTuple, completion_ts: float) -> None:
-        super()._emit(query, result, completion_ts)
-        for callback in self._listeners.get(query, ()):
-            callback(result)
-
-
-class _SessionShardedRuntime(ShardedRuntime):
-    """Sharded driver that fans merged results out to session subscribers.
-
-    Subscribers run on the driver side of the deterministic merge, so
-    callback order is reproducible and identical to the single-process
-    session (same seq order) regardless of worker scheduling.
-    """
-
-    def __init__(self, topology, windows, config, listeners, transport, stats_sink=None):
-        self._listeners: Dict[str, List[Callable]] = listeners
-        super().__init__(
-            topology, windows, config, transport=transport, stats_sink=stats_sink
-        )
-
-    def _emit(self, query: str, result: StreamTuple, completion_ts: float) -> None:
-        super()._emit(query, result, completion_ts)
-        for callback in self._listeners.get(query, ()):
-            callback(result)
 
 
 class JoinSession:
@@ -514,9 +482,9 @@ class JoinSession:
         self._loop.on_change = self._on_plan_change
         self._controller: Optional[AdaptiveController] = None
         self._last_measured: Optional[StatisticsCatalog] = None
-        self._first_ts: Optional[float] = None
-        self._last_ts = float("-inf")
-        self._stream_high: Dict[str, float] = {}
+        #: the arrival contract: a warmup-only clock until the runtime
+        #: exists, the runtime's own clock from then on
+        self._clock = ArrivalClock(self._runtime_config.disorder_bound)
 
         # ingestion state
         self._pushed = 0
@@ -534,7 +502,7 @@ class JoinSession:
         # execution state
         self._listeners: Dict[str, List[Callable]] = {}
         self._cursors: Dict[str, int] = {}
-        self._runtime: Optional[Union[_SessionRuntime, _SessionShardedRuntime]] = None
+        self._runtime: Optional[Union[RewirableRuntime, ShardedRuntime]] = None
         self._plan: Optional[SharedPlan] = None
         self._catalog: Optional[StatisticsCatalog] = None
 
@@ -734,119 +702,105 @@ class JoinSession:
     def _ingest(self, tup: StreamTuple, on_late: Optional[str] = None) -> None:
         """Validate arrival order, deliver, then record the accepted tuple.
 
-        The arrival-order contract is *owned by the runtime*
-        (:meth:`TopologyRuntime.process`); its rejection is translated into
-        :class:`LateTupleError` — or, under the ``"drop"`` late-tuple
-        policy, counted in ``metrics.late_dropped`` and discarded — before
-        any session state is touched.  Only the warmup path (no runtime
-        yet) checks the same contract session-side against the buffered
-        prefix.  Buffered tuples are tracked for *statistics* immediately
-        (the warmup plan needs them) but committed to the verification
-        history only as the drain processes them, so history always equals
-        what the engine ingested — even if the drain fails partway.
+        The arrival-order contract is the runtime's
+        :class:`~repro.engine.arrival.ArrivalClock`; a rejection becomes
+        the ``on_late`` policy (:meth:`_reject`) before any session state
+        is touched.  Only the warmup path (no runtime yet) holds a clock
+        of its own, over the buffered prefix.  Buffered tuples are tracked
+        for *statistics* immediately (the warmup plan needs them) but
+        committed to the verification history only as the drain processes
+        them, so history always equals what the engine ingested — even if
+        the drain fails partway.
         """
         policy = self.on_late if on_late is None else _check_on_late(on_late)
         ts = tup.trigger_ts
-        if self._runtime is None:
+        clock = self._clock
+        runtime = self._runtime
+        if runtime is None:
             try:
-                self._validate_order(tup.trigger, ts)
-            except LateTupleError:
-                if policy == "drop":
-                    self._warmup_late_dropped += 1
-                    return
-                if policy == "dead_letter":
-                    self._dead_letter(tup)
-                    return
-                raise
-            if self._is_late_admit(tup.trigger, ts):
+                clock.check(tup.trigger, ts)
+            except LateArrivalError as exc:
+                self._reject(tup, policy, exc)
+                return
+            if self._is_grace_band(tup):
                 self._warmup_late_admitted += 1
-            self._track_order(tup.trigger, ts)
+            clock.advance(tup)
             self._loop.observe(tup)
             self._pending.append(tup)
             if self._pushed + len(self._pending) >= self.warmup:
                 self._start()
-        else:
-            metrics = self._runtime.metrics
-            if metrics.failed:
-                # process() would silently drop the tuple; a facade that
-                # rejects every other bad push loudly must not go quiet here
-                raise EngineFailedError(
-                    f"the engine has failed ({metrics.failure_reason}); "
-                    f"the session no longer accepts pushes"
-                )
-            loop = self._loop
-            if loop.epoch_length is not None and (
-                int(ts // loop.epoch_length) > loop.current_epoch
-            ):
-                # cross any epoch boundary *before* this tuple is
-                # delivered — the same ordering as AdaptiveRuntime's
-                # on_input_boundary hook, so periodic decisions and
-                # installs land at identical points of the feed.  Only a
-                # boundary-crossing tuple pays the pre-validation (it
-                # guards a rejected straggler from triggering a boundary
-                # the engine would not have crossed; a straggler's ts
-                # never exceeds every accepted timestamp, so it can only
-                # cross one spuriously, never legitimately).
-                try:
-                    self._validate_order(tup.trigger, ts)
-                except LateTupleError:
-                    if policy == "drop":
-                        metrics.on_late_drop()
-                        return
-                    if policy == "dead_letter":
-                        self._dead_letter(tup)
-                        return
-                    raise
-                loop.advance(ts)
-            # classify *before* processing: _record raises this stream's
-            # high water, which would hide the lag (a straggler's ts never
-            # raises the high water, so either order is correct for the
-            # rejected paths — only the admitted-late count needs this)
-            late_admit = self._is_late_admit(tup.trigger, ts)
-            try:
-                self._runtime.process(tup)
-            except LateArrivalError as exc:
-                # only the arrival-order rejection is translated/suppressed
-                # — it precedes any state mutation, so a rejected tuple
-                # leaves both engine and session untouched; any other error
-                # from the cascade propagates unswallowed
-                if policy == "drop":
-                    metrics.on_late_drop()
-                    return
-                if policy == "dead_letter":
-                    self._dead_letter(tup)
-                    return
-                raise LateTupleError(str(exc)) from exc
-            if late_admit:
-                metrics.on_late_admit()
-            self._record(tup)
-            if metrics.failed:
-                # this push was fully processed (and recorded) but tipped
-                # the engine over the limit — surface it immediately
-                raise EngineFailedError(
-                    f"the engine failed processing this push "
-                    f"({metrics.failure_reason})"
-                )
-
-    def _validate_order(self, relation: str, ts: float) -> None:
-        try:
-            validate_arrival(
-                relation,
-                ts,
-                self._last_ts,
-                self._stream_high,
-                self._runtime_config.disorder_bound,
+            return
+        metrics = runtime.metrics
+        if metrics.failed:
+            # process() would silently drop the tuple; a facade that
+            # rejects every other bad push loudly must not go quiet here
+            raise EngineFailedError(
+                f"the engine has failed ({metrics.failure_reason}); "
+                f"the session no longer accepts pushes"
             )
-        except ValueError as exc:
-            raise LateTupleError(str(exc)) from exc
+        loop = self._loop
+        if loop.epoch_length is not None and (
+            int(ts // loop.epoch_length) > loop.current_epoch
+        ):
+            # cross any epoch boundary *before* this tuple is delivered —
+            # the same ordering as AdaptiveRuntime's on_input_boundary
+            # hook, so periodic decisions and installs land at identical
+            # points of the feed.  Only a boundary-crossing tuple pays the
+            # pre-validation (it guards a rejected straggler from
+            # triggering a boundary the engine would not have crossed; a
+            # straggler's ts never exceeds every accepted timestamp, so it
+            # can only cross one spuriously, never legitimately).
+            try:
+                clock.check(tup.trigger, ts)
+            except LateArrivalError as exc:
+                self._reject(tup, policy, exc)
+                return
+            loop.advance(ts)
+        # classify *before* processing: the clock then raises this
+        # stream's high water, which would hide the lag
+        late_admit = self._is_grace_band(tup)
+        try:
+            runtime.process(tup)
+        except LateArrivalError as exc:
+            # only the arrival-order rejection is translated/suppressed —
+            # it precedes any state mutation, so a rejected tuple leaves
+            # both engine and session untouched; any other error from the
+            # cascade propagates unswallowed
+            self._reject(tup, policy, exc)
+            return
+        if late_admit:
+            metrics.on_late_admit()
+        self._record(tup)
+        if metrics.failed:
+            # this push was fully processed (and recorded) but tipped
+            # the engine over the limit — surface it immediately
+            raise EngineFailedError(
+                f"the engine failed processing this push "
+                f"({metrics.failure_reason})"
+            )
 
-    def _is_late_admit(self, relation: str, ts: float) -> bool:
-        """True iff an (accepted) push lags its stream's high water beyond
-        ``disorder_bound`` — i.e. it rode the ``allowed_lateness`` grace."""
-        if self.allowed_lateness <= 0 or self.disorder_bound is None:
-            return False
-        high = self._stream_high.get(relation)
-        return high is not None and high - ts > self.disorder_bound
+    def _reject(
+        self, tup: StreamTuple, policy: str, exc: LateArrivalError
+    ) -> None:
+        """Apply the late-tuple ``policy`` to a push the arrival contract
+        rejected: raise :class:`LateTupleError`, drop it (counted), or
+        route it to the dead-letter side-output."""
+        if policy == "raise":
+            raise LateTupleError(str(exc)) from exc
+        if policy == "dead_letter":
+            self._dead_letter(tup)
+        elif self._runtime is not None:
+            self._runtime.metrics.on_late_drop()
+        else:
+            self._warmup_late_dropped += 1
+
+    def _is_grace_band(self, tup: StreamTuple) -> bool:
+        """True iff a push lags its stream's high water beyond
+        ``disorder_bound`` — i.e. it rides the ``allowed_lateness`` grace
+        (if the clock accepts it)."""
+        return self.allowed_lateness > 0 and self._clock.is_late(
+            tup.trigger, tup.trigger_ts, self.disorder_bound or 0.0
+        )
 
     def _dead_letter(self, tup: StreamTuple) -> None:
         """Route a beyond-lateness straggler to the dead-letter side-output.
@@ -903,15 +857,6 @@ class JoinSession:
                 self._ambiguous_ts = True
             self._seq_of[key] = self._pushed
             self._history.setdefault(tup.trigger, []).append(tup)
-        self._track_order(tup.trigger, ts)
-
-    def _track_order(self, relation: str, ts: float) -> None:
-        if self._first_ts is None:
-            self._first_ts = ts
-        self._last_ts = max(self._last_ts, ts)
-        high = self._stream_high.get(relation)
-        if high is None or ts > high:
-            self._stream_high[relation] = ts
 
     def flush(self) -> "JoinSession":
         """Run any deferred micro-batch cascade to completion."""
@@ -1020,9 +965,8 @@ class JoinSession:
                 "pending": list(self._pending),
                 "drops": {rel: list(v) for rel, v in self._drops.items()},
                 "ambiguous_ts": self._ambiguous_ts,
-                "first_ts": self._first_ts,
-                "last_ts": self._last_ts,
-                "stream_high": dict(self._stream_high),
+                # a running session's clock is the engine's (dumped there)
+                "clock": self._clock.dump() if runtime is None else None,
                 "cursors": dict(self._cursors),
                 "dead_letters": list(self._dead_letters),
                 "warmup_late_dropped": self._warmup_late_dropped,
@@ -1087,9 +1031,6 @@ class JoinSession:
         session._pending = list(ingest["pending"])
         session._drops = {rel: list(v) for rel, v in ingest["drops"].items()}
         session._ambiguous_ts = ingest["ambiguous_ts"]
-        session._first_ts = ingest["first_ts"]
-        session._last_ts = ingest["last_ts"]
-        session._stream_high = dict(ingest["stream_high"])
         session._cursors = dict(ingest["cursors"])
         session._dead_letters = list(ingest["dead_letters"])
         session._warmup_late_dropped = ingest["warmup_late_dropped"]
@@ -1102,54 +1043,21 @@ class JoinSession:
         loop.closed.clear()
         loop.closed.extend(loop_state["closed"])
         loop.pending = dict(loop_state["pending"])
-        session._plan = plan
-        session._catalog = payload["catalog"]
         engine_state = payload["engine"]
         if engine_state is None:
             # checkpointed before the first plan (warmup still buffering):
             # the restored _pending drains through _start on the next push
+            session._clock.load(ingest["clock"])
             return session
-        topology = payload["topology"]
-        windows = dict(payload["windows"])
-        runtime: Union[_SessionRuntime, _SessionShardedRuntime]
-        if session._runtime_config.workers > 1:
-            runtime = _SessionShardedRuntime(
-                topology,
-                windows,
-                session._runtime_config,
-                session._listeners,
-                session._worker_transport,
-                session._loop.absorb,
-            )
-        else:
-            runtime = _SessionRuntime(
-                topology, windows, session._runtime_config, session._listeners
-            )
-        runtime.load_state(engine_state)
-        session._runtime = runtime
-        # seed the controller exactly as _start does, so every later
-        # decision — epoch boundary, churn, explicit reoptimize — flows
-        # through the same loop → controller.decide → install path
-        queries = [session._queries[name] for name in sorted(session._queries)]
-        catalog = session._catalog
+        catalog = payload["catalog"]
         if catalog is None:
-            catalog = session._build_catalog(queries)
-        controller = AdaptiveController(
-            catalog,
-            queries,
-            session._optimizer_config,
-            solver=choose_solver(queries, session.solver),
+            catalog = session._build_catalog(
+                [session._queries[name] for name in sorted(session._queries)]
+            )
+        runtime = session._deploy(
+            payload["topology"], dict(payload["windows"]), plan, catalog
         )
-        controller.current_plan = plan
-        controller.current_signature = (
-            plan_signature(plan) if plan is not None else None
-        )
-        controller._dirty = False
-        session._controller = controller
-        session._loop.bind(controller, cluster=session._optimizer_config.cluster)
-        session._loop.attach(runtime)
-        if session._runtime_config.workers > 1:
-            session._loop.pre_decide = runtime.flush
+        runtime.load_state(engine_state)
         return session
 
     # ------------------------------------------------------------------
@@ -1188,6 +1096,13 @@ class JoinSession:
         self._check_known(name)
         self._listeners.setdefault(name, []).append(callback)
         return self
+
+    def _notify(self, query: str, result: StreamTuple) -> None:
+        """The runtime's result sink: fan a result out to subscribers (on
+        the driver side of the sharded merge, so callback order is the
+        single-process order regardless of worker scheduling)."""
+        for callback in self._listeners.get(query, ()):
+            callback(result)
 
     def _check_known(self, name: str) -> None:
         if name not in self._lifecycle:
@@ -1232,9 +1147,8 @@ class JoinSession:
         controller.solver = choose_solver(queries, self.solver)
         old = self._runtime.topology
         catalog = self._build_catalog(queries)
-        now = self._last_ts if self._last_ts != float("-inf") else 0.0
         record = self._loop.rewire(
-            now=now, windows=self._windows_map(), measured=catalog
+            now=self._now(), windows=self._windows_map(), measured=catalog
         )
         if record is not None and record.changed:
             switch = self._runtime.switches[-1]
@@ -1256,50 +1170,14 @@ class JoinSession:
         if not self._queries:
             return
         plan, catalog, topology = self._optimize()
-        if self._runtime_config.workers > 1:
-            self._runtime = _SessionShardedRuntime(
-                topology,
-                self._windows_map(),
-                self._runtime_config,
-                self._listeners,
-                self._worker_transport,
-                self._loop.absorb,
-            )
-        else:
-            self._runtime = _SessionRuntime(
-                topology,
-                self._windows_map(),
-                self._runtime_config,
-                self._listeners,
-            )
+        runtime = self._deploy(topology, self._windows_map(), plan, catalog)
         # stragglers handled while warming up belong to the same counters
         if self._warmup_late_dropped:
-            self._runtime.metrics.on_late_drop(self._warmup_late_dropped)
+            runtime.metrics.on_late_drop(self._warmup_late_dropped)
         if self._warmup_dead_lettered:
-            self._runtime.metrics.on_dead_letter(self._warmup_dead_lettered)
+            runtime.metrics.on_dead_letter(self._warmup_dead_lettered)
         if self._warmup_late_admitted:
-            self._runtime.metrics.on_late_admit(self._warmup_late_admitted)
-        self._plan, self._catalog = plan, catalog
-        # seed the controller with the plan just deployed: every later
-        # decision — epoch boundary, query churn, explicit reoptimize —
-        # flows through the one loop → controller.decide → install path
-        queries = [self._queries[name] for name in sorted(self._queries)]
-        controller = AdaptiveController(
-            catalog,
-            queries,
-            self._optimizer_config,
-            solver=choose_solver(queries, self.solver),
-        )
-        controller.current_plan = plan
-        controller.current_signature = plan_signature(plan)
-        controller._dirty = False
-        self._controller = controller
-        self._loop.bind(controller, cluster=self._optimizer_config.cluster)
-        self._loop.attach(self._runtime)
-        if self._runtime_config.workers > 1:
-            # epoch boundaries must see every already-shipped tuple's
-            # statistics: drain the workers before the loop decides
-            self._loop.pre_decide = self._runtime.flush
+            runtime.metrics.on_late_admit(self._warmup_late_admitted)
         # the drain below re-delivers the buffered prefix tuple-by-tuple
         # and re-observes statistics on the way (driver-side at workers=1,
         # shard-side otherwise, via _record) — drop the buffer-time
@@ -1323,6 +1201,61 @@ class JoinSession:
                     f"({self._runtime.metrics.failure_reason})"
                 )
 
+    def _deploy(
+        self,
+        topology: Topology,
+        windows: Dict[str, float],
+        plan: SharedPlan,
+        catalog: StatisticsCatalog,
+    ) -> Union[RewirableRuntime, ShardedRuntime]:
+        """Build the runtime for ``plan`` and wire the session around it.
+
+        The one place that picks the single-process or the sharded
+        runtime; the session then reads the runtime's arrival clock,
+        receives its results through the sink, and seeds the controller
+        with the deployed plan, so every later decision — epoch boundary,
+        query churn, explicit reoptimize — flows through the one loop →
+        controller.decide → install path.
+        """
+        runtime: Union[RewirableRuntime, ShardedRuntime]
+        if self._runtime_config.workers > 1:
+            runtime = ShardedRuntime(
+                topology,
+                windows,
+                self._runtime_config,
+                transport=self._worker_transport,
+                stats_sink=self._loop.absorb,
+            )
+            # epoch boundaries must see every already-shipped tuple's
+            # statistics: drain the workers before the loop decides
+            self._loop.pre_decide = runtime.flush
+        else:
+            runtime = RewirableRuntime(topology, windows, self._runtime_config)
+        runtime.result_sink = self._notify
+        self._runtime = runtime
+        self._clock = runtime.clock
+        self._plan, self._catalog = plan, catalog
+        queries = [self._queries[name] for name in sorted(self._queries)]
+        controller = AdaptiveController(
+            catalog,
+            queries,
+            self._optimizer_config,
+            solver=choose_solver(queries, self.solver),
+        )
+        controller.current_plan = plan
+        controller.current_signature = plan_signature(plan)
+        controller._dirty = False
+        self._controller = controller
+        self._loop.bind(controller, cluster=self._optimizer_config.cluster)
+        self._loop.attach(runtime)
+        return runtime
+
+    def _now(self) -> float:
+        """Rewire instant: the latest accepted event timestamp (0 before
+        the first push)."""
+        last = self._clock.last_ts
+        return last if last != float("-inf") else 0.0
+
     def _replan(self) -> None:
         """Re-optimize the shared plan and rewire the live runtime.
 
@@ -1339,14 +1272,13 @@ class JoinSession:
         controller = self._controller
         queries = [self._queries[name] for name in sorted(self._queries)]
         saved = (dict(controller.queries), controller._dirty)
-        now = self._last_ts if self._last_ts != float("-inf") else 0.0
         try:
             controller.queries = {q.name: q for q in queries}
             controller._dirty = True
             controller.solver = choose_solver(queries, self.solver)
             catalog = self._build_catalog(queries)
             self._loop.rewire(
-                now=now, windows=self._windows_map(), measured=catalog
+                now=self._now(), windows=self._windows_map(), measured=catalog
             )
         except Exception:
             # transactional: a failed solve must leave the controller (and

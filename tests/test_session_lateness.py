@@ -170,3 +170,37 @@ class TestDeadLetterParity:
         # oracle restricted to admitted tuples: verify() sees only the
         # recorded history, which excludes every dead-lettered tuple
         assert session.verify().ok
+
+
+class TestReregisteredStreamLateness:
+    """A stream released by query expiry and re-added later resumes from
+    the watermark floor the engine gives it at install, so grace-band
+    stragglers on it are classified against that floor — not against the
+    stale pre-removal high water — and counted in ``late_admitted``."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grace_band_stragglers_on_readded_stream_are_counted(self, workers):
+        session = (
+            JoinSession(
+                window=1.0,
+                solver="scipy",
+                disorder_bound=0.5,
+                allowed_lateness=1.0,
+                workers=workers,
+                worker_transport="inline",
+            )
+            .add_query("q1", "R.a=S.a")
+            .add_query("q2", "S.a=T.a")
+        )
+        with session:
+            session.push("R", {"a": 1}, ts=0.0)
+            session.remove_query("q1")  # R released at high water 0.0
+            for i in range(40):
+                session.push("S", {"a": 1}, ts=float(i))
+                session.push("T", {"a": 1}, ts=float(i) + 0.25)
+            session.add_query("q3", "R.a=S.a")  # R floored at 39.0
+            before = session.metrics.late_admitted
+            session.push("R", {"a": 1}, ts=38.0)  # lag 1.0 ∈ (D, D+L]
+            session.push("R", {"a": 1}, ts=38.2)  # lag 0.8 ∈ (D, D+L]
+            assert session.metrics.late_admitted - before == 2
+            assert session.verify().ok
